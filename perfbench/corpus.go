@@ -5,6 +5,7 @@ import (
 	"embed"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"path"
 	"sort"
 	"strings"
@@ -69,22 +70,12 @@ func byName(c []*entry) map[string]*entry {
 	return m
 }
 
-// clone deep-copies a request so a stream can vary sizes without touching
-// the corpus.
+// clone copies a request's input map, the one part callers change in
+// place (setRAM replaces the hierarchy bytes instead of editing them), so a
+// stream can vary sizes without touching the corpus.
 func clone(r plan.Request) plan.Request {
-	c := r
-	c.Inputs = make(map[string]plan.Input, len(r.Inputs))
-	for k, v := range r.Inputs {
-		c.Inputs[k] = v
-	}
-	if r.Hierarchy != nil {
-		c.Hierarchy = append(json.RawMessage(nil), r.Hierarchy...)
-	}
-	if r.Commutative != nil {
-		b := *r.Commutative
-		c.Commutative = &b
-	}
-	return c
+	r.Inputs = maps.Clone(r.Inputs)
+	return r
 }
 
 // ramOf returns the RAM size of a request: the built-in hierarchy's RAM

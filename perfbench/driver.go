@@ -196,13 +196,6 @@ type synthesizeBody struct {
 	TimeoutMS int64 `json:"timeoutMs,omitempty"`
 }
 
-// executeDecoded mirrors the /execute body.
-type executeDecoded struct {
-	plan.Request
-	TimeoutMS int64            `json:"timeoutMs,omitempty"`
-	Exec      plan.ExecOptions `json:"exec,omitempty"`
-}
-
 func decodeStrict(body []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
@@ -296,7 +289,7 @@ func (dr *driver) synthesize(body []byte) ([]byte, plancache.Outcome, error) {
 func (dr *driver) execute(name string, body []byte) (*plan.ExecReport, error) {
 	root := dr.rec.start("request")
 	defer dr.rec.end(root)
-	var req executeDecoded
+	var req executeBody
 	var err error
 	dr.rec.call("service.decode", func() { err = decodeStrict(body, &req) })
 	if err != nil {

@@ -152,7 +152,7 @@ func queryBody(q *durableQuery, e *entry, gen int) []byte {
 		}
 		tables[in] = t
 	}
-	body, err := json.Marshal(executeBody{Request: e.Req, Exec: execOpts{Tables: tables}})
+	body, err := json.Marshal(executeBody{Request: e.Req, Exec: plan.ExecOptions{Tables: tables}})
 	if err != nil {
 		panic(err)
 	}
@@ -471,7 +471,7 @@ func checkDurable(ctx context.Context, o *options, d *daemon, run *durableRun, q
 		for name := range e.Req.Inputs {
 			rows[name] = frozenRows
 		}
-		body, err := json.Marshal(executeBody{Request: e.Req, Exec: execOpts{Seed: q.seed, Rows: rows}})
+		body, err := json.Marshal(executeBody{Request: e.Req, Exec: plan.ExecOptions{Seed: q.seed, Rows: rows}})
 		if err != nil {
 			out.failf("durable-mixed: %v", err)
 			continue

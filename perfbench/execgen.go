@@ -24,16 +24,11 @@ const (
 	oracleRows = 1 << 10
 )
 
-// executeBody is the /execute request body.
+// executeBody is the /execute request body, as the service decodes it.
 type executeBody struct {
 	plan.Request
-	Exec execOpts `json:"exec"`
-}
-
-type execOpts struct {
-	Seed   int64             `json:"seed,omitempty"`
-	Rows   map[string]int64  `json:"rows,omitempty"`
-	Tables map[string]string `json:"tables,omitempty"`
+	TimeoutMS int64            `json:"timeoutMs,omitempty"`
+	Exec      plan.ExecOptions `json:"exec"`
 }
 
 // execReq is one generated /execute request.
@@ -99,7 +94,7 @@ func execRequest(e *entry, rung, seed int64) *execReq {
 		rows[name] = n
 		total += n
 	}
-	body, err := json.Marshal(executeBody{Request: e.Req, Exec: execOpts{Seed: seed, Rows: rows}})
+	body, err := json.Marshal(executeBody{Request: e.Req, Exec: plan.ExecOptions{Seed: seed, Rows: rows}})
 	if err != nil {
 		panic(err)
 	}

@@ -392,6 +392,7 @@ func ocasJSON(o *options, req plan.Request) ([]byte, error) {
 	if err := os.WriteFile(prog, []byte(req.Program), 0o644); err != nil {
 		return nil, err
 	}
+	req = clone(req) // Normalize fills in arities in place
 	req.Normalize()
 	args := []string{"-json", "-prog", prog, "-depth", fmt.Sprint(req.Depth), "-space", fmt.Sprint(req.Space),
 		fmt.Sprintf("-commutative=%v", *req.Commutative), "-strategy", req.Strategy}
