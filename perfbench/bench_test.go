@@ -81,6 +81,30 @@ func TestOtherSeedOtherStream(t *testing.T) {
 	}
 }
 
+// TestSynthOrdering: every synth-mix request waits only on earlier ones,
+// so the closed loop cannot deadlock, and a template request follows the
+// cold request of its own entry that captured its template, at its RAM.
+func TestSynthOrdering(t *testing.T) {
+	s := newSynthStream(5, testCorpus(t))
+	s.warmups()
+	for i := 0; i < 3000; i++ {
+		r, _ := s.next()
+		for _, a := range r.after {
+			if a.idx >= r.idx {
+				t.Fatalf("request %d waits on request %d, not earlier", r.idx, a.idx)
+			}
+		}
+		if r.class != classTemplate || len(r.after) == 0 {
+			continue
+		}
+		c := r.after[0]
+		if len(r.after) != 1 || c.class != classCold || c.entry != r.entry || c.req.RAM != r.req.RAM {
+			t.Fatalf("template request %d (%s, RAM %d) follows %d (%s %s, RAM %d)",
+				r.idx, r.entry.Name, r.req.RAM, c.idx, c.class, c.entry.Name, c.req.RAM)
+		}
+	}
+}
+
 // benchmarkFile is the repository's BENCHMARK.json.
 type benchmarkFile struct {
 	Command    []string `json:"command"`

@@ -30,6 +30,10 @@ type entry struct {
 	// execution output is |R|·|S| rows, so executions pin R at productR
 	// rows and put only S on the size ladder.
 	Product bool
+	// Join marks a program over the two relations R and S (the joins and
+	// products): its template instantiation costs about as much as a cold
+	// search, so synth-mix times its template requests.
+	Join bool
 }
 
 const productR = 64
@@ -55,7 +59,7 @@ func loadCorpus() ([]*entry, error) {
 		_, hasR := req.Inputs["R"]
 		_, hasS := req.Inputs["S"]
 		product := hasR && hasS && !strings.Contains(req.Program, "==")
-		out = append(out, &entry{Name: name, Req: req, Product: product})
+		out = append(out, &entry{Name: name, Req: req, Product: product, Join: hasR && hasS})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out, nil

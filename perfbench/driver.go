@@ -155,8 +155,6 @@ type driver struct {
 	cat   *catalog.Catalog
 	ctx   context.Context
 
-	specParseMs float64 // time parsing request programs (inside plan.Compile too)
-	specParses  int
 	searchSpace int64
 	synthMs     float64
 	outcomes    map[plancache.Outcome]int
@@ -202,17 +200,11 @@ func decodeStrict(body []byte, v any) error {
 	return dec.Decode(v)
 }
 
-// compile parses and compiles a request (spans ocal.parse, plan.compile).
+// compile compiles a request (span plan.compile, which includes parsing
+// the request's program: plan.Compile does both, as the service calls it).
 func (dr *driver) compile(req plan.Request) (*plan.Compiled, error) {
-	var err error
-	t0 := time.Now()
-	dr.rec.call("ocal.parse", func() { _, err = ocal.ParseFile(req.Program) })
-	dr.specParseMs += msSince(t0)
-	dr.specParses++
-	if err != nil {
-		return nil, err
-	}
 	var c *plan.Compiled
+	var err error
 	dr.rec.call("plan.compile", func() { c, err = plan.Compile(req) })
 	return c, err
 }

@@ -416,7 +416,7 @@ func benchDurable(ctx context.Context, o *options, corpus []*entry) (*outcome, e
 		out.set("durable."+q.name+"_p50_ms", "ms", median(byKind[q.name]), len(byKind[q.name]))
 	}
 	ops := len(run.ingest) + len(run.queries)
-	if err := out.measure(d, queryMs, ops, run.wall, cpu0); err != nil {
+	if err := out.measure(d, queryMs, run.wall, cpu0); err != nil {
 		d.kill()
 		return nil, err
 	}

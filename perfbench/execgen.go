@@ -198,7 +198,7 @@ func benchExec(ctx context.Context, o *options, corpus []*entry) (*outcome, erro
 		all = append(all, r.ms)
 		rows += r.r.inRows
 	}
-	if err := out.measure(d, all, len(results), wall, cpu0); err != nil {
+	if err := out.measure(d, all, wall, cpu0); err != nil {
 		d.kill()
 		return nil, err
 	}

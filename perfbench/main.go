@@ -30,7 +30,7 @@ const (
 	clients = 2
 	// setUps is how many times a run starts and prepares ocasd; setup_s is
 	// the median.
-	setUps = 5
+	setUps = 11
 )
 
 type options struct {

@@ -72,9 +72,19 @@ func perLayerNames() []metricDef {
 }
 
 // measure records the metrics every workload reports from its timed
-// phase: latency of the latency-measured requests, completed requests per
-// second over all clients, ocasd CPU per request and peak memory.
-func (o *outcome) measure(d *daemon, ms []float64, requests int, wall time.Duration, cpu0 float64) error {
+// phase, once attempted and failed count its requests: latency of the
+// latency-measured requests, successful requests per second over all
+// clients, ocasd CPU per successful request and peak memory. A failed
+// timed request fails the run, so that shedding load cannot pass for
+// speed.
+func (o *outcome) measure(d *daemon, ms []float64, wall time.Duration, cpu0 float64) error {
+	if o.failed > 0 {
+		o.failf("%d of %d timed requests failed (non-2xx or transport error)", o.failed, o.attempted)
+	}
+	if len(ms) == 0 {
+		o.failf("no latency-measured request completed")
+	}
+	requests := int(o.attempted - o.failed)
 	o.set("p50_ms", "ms", median(ms), len(ms))
 	o.set("p90_ms", "ms", quantile(ms, 0.9), len(ms))
 	o.set("req_per_s", "1/s", float64(requests)/wall.Seconds(), requests)
@@ -103,11 +113,7 @@ func layerMetrics(out *outcome, dr *driver, lt *layerTimes, n int, tracedWall, p
 	ms("service.decode_ms", "service.decode")
 	ms("service.encode_ms", "service.encode")
 	ms("ocal.parse_ms", "ocal.parse")
-	compile := lt.meanMs("plan.compile")
-	if dr.specParses > 0 {
-		compile -= dr.specParseMs / float64(dr.specParses)
-	}
-	out.set("plan.compile_ms", "ms", max(compile, 0), lt.calls["plan.compile"])
+	ms("plan.compile_ms", "plan.compile")
 	ms("plancache.resolve_ms", "plancache.resolve")
 	total := 0
 	for _, c := range dr.outcomes {

@@ -26,11 +26,19 @@ import (
 //   - cold: a RAM size the entry has not used before, so the plan is new
 //     and the cached template's hierarchy guard rejects it (full search);
 //   - template: the RAM of the entry's current template with input sizes
-//     not used before at that RAM (template instantiation);
+//     not used before at that RAM (template instantiation); where entries
+//     share a template slot, the entry that captured it last;
 //   - hit: an exact repeat of one of the last hitWindow distinct requests,
 //     which the default plan cache (1024 plans) still holds.
 //
-// The class a request really met is read from X-Ocas-Cache.
+// A template request is sent only once the cold request that captured its
+// template has been answered, a cold request only once the capture and
+// template requests of the template it replaces have been, and a hit only
+// once the request it repeats has, so a correct ocasd serves every request
+// as planned. The class a request really met is read from X-Ocas-Cache;
+// the latency metrics time the planned template requests of the join
+// shapes whatever served them, and a check fails when the served class
+// departs from the plan.
 var synthRound = map[string]int{classCold: 1, classTemplate: 2, classHit: 1}
 
 const (
@@ -38,6 +46,9 @@ const (
 	classTemplate = "template"
 	classHit      = "hit"
 	hitWindow     = 256
+	// minAsPlanned is the least share of each planned class that
+	// X-Ocas-Cache must report as that class.
+	minAsPlanned = 0.99
 )
 
 var synthClasses = []string{classCold, classTemplate, classHit}
@@ -50,12 +61,30 @@ type synthReq struct {
 	key   [32]byte
 	req   plan.Request
 	body  []byte
+	// after lists the requests this one must follow: for a template
+	// request the cold request that captured its template (none: set-up
+	// did), for a cold request the capture and template requests of the
+	// template it replaces, for a hit the request it repeats. The load
+	// sends it only once done of each of them is closed.
+	after []*synthReq
+	done  chan struct{}
 }
 
 type shapeState struct {
 	seenRAM  map[int64]bool
-	tmplRAM  int64
 	seenRows map[string]bool // "ram/rows..." already requested
+	tmpl     *tmplState
+}
+
+// tmplState follows one slot of ocasd's template tier. Entries whose
+// requests share a template fingerprint (three of the corpus's equi-joins)
+// share the slot: each capture replaces the last one, and only the entry
+// that captured it, at its RAM, can instantiate it.
+type tmplState struct {
+	holder  *entry
+	ram     int64
+	capture []*synthReq // the cold request that captured it (none: a warm-up)
+	uses    []*synthReq // template requests planned on it
 }
 
 // synthStream generates the synth-mix request stream; the same seed gives
@@ -73,8 +102,17 @@ type synthStream struct {
 func newSynthStream(seed int64, corpus []*entry) *synthStream {
 	s := &synthStream{rng: rand.New(rand.NewSource(seed*7 + 1)), corpus: corpus,
 		shape: map[string]*shapeState{}}
+	slots := map[string]*tmplState{}
 	for _, e := range corpus {
-		s.shape[e.Name] = &shapeState{seenRAM: map[int64]bool{}, seenRows: map[string]bool{}}
+		c, err := plan.Compile(clone(e.Req))
+		if err != nil {
+			panic(err) // the corpus is embedded and compiles
+		}
+		if slots[c.TemplateFingerprint] == nil {
+			slots[c.TemplateFingerprint] = &tmplState{}
+		}
+		s.shape[e.Name] = &shapeState{seenRAM: map[int64]bool{}, seenRows: map[string]bool{},
+			tmpl: slots[c.TemplateFingerprint]}
 	}
 	return s
 }
@@ -87,8 +125,9 @@ func (s *synthStream) warmups() []*synthReq {
 		st := s.shape[e.Name]
 		ram := ramOf(e.Req)
 		st.seenRAM[ram] = true
-		st.tmplRAM = ram
+		st.tmpl.holder, st.tmpl.ram = e, ram
 		r := s.emit(e, classCold, clone(e.Req), ram)
+		close(r.done) // answered in set-up, before any timed request
 		out = append(out, r)
 	}
 	return out
@@ -106,7 +145,8 @@ func (s *synthStream) next() (r *synthReq, atRoundEnd bool) {
 	case classHit:
 		if len(s.ring) > 0 {
 			prev := s.ring[s.rng.Intn(len(s.ring))]
-			r = &synthReq{idx: s.n, entry: prev.entry, class: classHit, key: prev.key, req: prev.req, body: prev.body}
+			r = &synthReq{idx: s.n, entry: prev.entry, class: classHit, key: prev.key, req: prev.req, body: prev.body,
+				after: []*synthReq{prev}, done: make(chan struct{})}
 			s.n++
 			return r, s.pos == len(s.round)
 		}
@@ -149,15 +189,22 @@ func (s *synthStream) cold(e *entry) *synthReq {
 		}
 	}
 	st.seenRAM[ram] = true
-	st.tmplRAM = ram
-	return s.emit(e, classCold, clone(e.Req), ram)
+	r := s.emit(e, classCold, clone(e.Req), ram)
+	r.after = append(append([]*synthReq(nil), st.tmpl.capture...), st.tmpl.uses...)
+	*st.tmpl = tmplState{holder: e, ram: ram, capture: []*synthReq{r}}
+	return r
 }
 
+// template plans a request the template in e's slot serves: the slot's
+// holder (e itself unless a shape sharing the slot captured it last) at the
+// holder's RAM, with input sizes not used before at that RAM.
 func (s *synthStream) template(e *entry) *synthReq {
+	ts := s.shape[e.Name].tmpl
+	e = ts.holder
 	st := s.shape[e.Name]
 	for {
 		req := clone(e.Req)
-		sig := fmt.Sprint(st.tmplRAM)
+		sig := fmt.Sprint(ts.ram)
 		for _, name := range inputNames(req) {
 			in := req.Inputs[name]
 			in.Rows = in.Rows/2 + s.rng.Int63n(in.Rows*3/2+1)
@@ -169,7 +216,10 @@ func (s *synthStream) template(e *entry) *synthReq {
 		}
 		if !st.seenRows[sig] {
 			st.seenRows[sig] = true
-			return s.emit(e, classTemplate, req, st.tmplRAM)
+			r := s.emit(e, classTemplate, req, ts.ram)
+			r.after = ts.capture
+			ts.uses = append(ts.uses, r)
+			return r
 		}
 	}
 }
@@ -186,7 +236,8 @@ func (s *synthStream) emit(e *entry, class string, req plan.Request, ram int64) 
 	}
 	st := s.shape[e.Name]
 	st.seenRows[fmt.Sprint(ram)+rowsSig(req)] = true
-	r := &synthReq{idx: s.n, entry: e, class: class, key: sha256.Sum256(body), req: req, body: body}
+	r := &synthReq{idx: s.n, entry: e, class: class, key: sha256.Sum256(body), req: req, body: body,
+		done: make(chan struct{})}
 	s.n++
 	s.ring = append(s.ring, r)
 	if len(s.ring) > hitWindow {
@@ -212,11 +263,17 @@ type synthResult struct {
 }
 
 // runSynthLoad drives the stream over HTTP with the closed-loop clients
-// until the deadline, finishing the round in progress.
+// until the deadline, finishing the round in progress. A request waits,
+// untimed, for the one it must follow; that one is earlier in the stream,
+// so the clients never wait on each other in a cycle.
 func runSynthLoad(ctx context.Context, d *daemon, s *synthStream, deadline time.Time) ([]synthResult, time.Duration) {
 	return closedLoop(deadline, s.next, func(r *synthReq) synthResult {
+		for _, a := range r.after {
+			<-a.done
+		}
 		t0 := time.Now()
 		rep := post(ctx, d.base+"/synthesize", r.body)
+		close(r.done)
 		return synthResult{r: r, class: rep.cache, ms: msSince(t0), rep: rep}
 	})
 }
@@ -298,6 +355,8 @@ func benchSynth(ctx context.Context, o *options, corpus []*entry) (*outcome, err
 
 	byClass := map[string][]float64{}
 	planned := map[string]int{}
+	var tmplMs []float64
+	asPlanned := map[string]int{}
 	for _, r := range results {
 		out.attempted++
 		planned[r.r.class]++
@@ -307,15 +366,34 @@ func benchSynth(ctx context.Context, o *options, corpus []*entry) (*outcome, err
 		}
 		c := headerClass(r.class)
 		byClass[c] = append(byClass[c], r.ms)
+		if c == r.r.class {
+			asPlanned[c]++
+		}
+		if r.r.class == classTemplate && r.r.entry.Join {
+			tmplMs = append(tmplMs, r.ms)
+		}
 	}
-	// The latency metrics time the template-served requests: the template
-	// tier is the mechanism only this workload exercises, and its p90 is
-	// the join shapes' instantiations. Cold searches and hits are load
-	// whose cost shows in req_per_s and cpu_ms_per_req (and in the class
-	// breakdown below).
-	if err := out.measure(d, byClass[classTemplate], len(results), wall, cpu0); err != nil {
+	// The latency metrics time the template requests the stream planned
+	// for the join shapes, whatever class served them. The template tier
+	// is the mechanism only this workload exercises, and the join shapes
+	// are where instantiation is the request's cost: their template
+	// requests take 8-26 ms, those of the other shapes under 1 ms, so a
+	// median over both would sit in the gap between them. Cold searches,
+	// hits and the other shapes' template requests are load whose cost
+	// shows in req_per_s and cpu_ms_per_req (and in the class breakdown
+	// below).
+	if err := out.measure(d, tmplMs, wall, cpu0); err != nil {
 		d.kill()
 		return nil, err
+	}
+	// The stream plans each class so that a correct ocasd serves it as
+	// planned (a template request goes out after its capture), so only a
+	// plan-cache or template-tier defect serves many otherwise.
+	for _, c := range synthClasses {
+		if share := float64(asPlanned[c]) / float64(max(planned[c], 1)); planned[c] == 0 || share < minAsPlanned {
+			out.failf("synth-mix: %d of %d requests planned as %s were served as %s (want a share of at least %.2f)",
+				asPlanned[c], planned[c], c, c, minAsPlanned)
+		}
 	}
 	out.timing("synth_miss", byClass[classCold])
 	out.timing("synth_template", byClass[classTemplate])
